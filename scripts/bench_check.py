@@ -9,7 +9,8 @@ harness in ``--quick`` mode on this machine, and fails when the
   and in the fresh quick run — decision identity is machine-independent
   and holds at any batch size, so any ``false`` is a real bug, never
   noise.
-* The committed speedup must itself clear ``--min-speedup`` (the
+* The committed ``speedup_vs_scalar`` (columnar block vs the
+  single-query guard loop) must itself clear ``--min-speedup`` (the
   acceptance floor of the columnar pipeline), so a regressed results
   file cannot be committed quietly.
 * The quick run's speedup must clear ``derate * committed_speedup``.
@@ -86,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--results", default="BENCH_results.json",
                         help="committed results file (default: %(default)s)")
-    parser.add_argument("--min-speedup", type=float, default=5.0,
+    parser.add_argument("--min-speedup", type=float, default=100.0,
                         help="floor the committed speedup must clear "
                              "(default: %(default)s)")
     parser.add_argument("--derate", type=float, default=0.33,
@@ -124,11 +125,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"committed identical_to_scalar is "
             f"{ccfg.get('identical_to_scalar')!r}, expected True")
-    committed_speedup = ccfg.get("speedup_vs_serve_batch")
+    committed_speedup = ccfg.get("speedup_vs_scalar")
     if not isinstance(committed_speedup, (int, float)) \
             or committed_speedup < args.min_speedup:
         failures.append(
-            f"committed speedup_vs_serve_batch {committed_speedup!r} "
+            f"committed speedup_vs_scalar {committed_speedup!r} "
             f"is below the {args.min_speedup:g}x acceptance floor")
     rcfg = _entry_config(committed, args.results, RECORDER_ENTRY)
     committed_overhead = rcfg.get("overhead_frac")
@@ -157,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     print("bench-check: running quick benchmark ...")
     fresh = run_benchmarks(quick=True, jobs=args.jobs, progress=True)
     fcfg = _entry_config(fresh, "the quick bench run")
-    fresh_speedup = fcfg["speedup_vs_serve_batch"]
+    fresh_speedup = fcfg["speedup_vs_scalar"]
     floor = args.derate * committed_speedup
     print(f"bench-check: quick run: {fresh_speedup:.2f}x "
           f"(floor {floor:.2f}x), identical_to_scalar="

@@ -88,7 +88,8 @@ def main() -> int:
                    sort_keys=True, separators=(",", ":")) + "\n"
         for q in queries))
     service = build_service()
-    payload = decisions_to_jsonl(service.select_batch(queries))
+    payload = decisions_to_jsonl(
+        service.select_block(queries).to_decisions())
     expected_path = GOLDEN_DIR / "expected_decisions.jsonl"
     old = expected_path.read_text() if expected_path.exists() else None
     expected_path.write_text(payload)

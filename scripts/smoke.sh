@@ -106,14 +106,12 @@ import sys
 from repro.core.bench import validate_bench_file
 
 results = validate_bench_file(sys.argv[1])
-required = {"forest_fit_serial", "forest_fit_parallel",
-            "forest_predict_batch", "table_generation", "table_lookup",
-            "serve_batch", "active_collect"}
+required = {"forest_fit_serial", "forest_predict_batch",
+            "table_generation", "table_lookup", "serve_batch_columnar",
+            "active_collect"}
 missing = required - set(results)
 assert not missing, f"bench results missing {sorted(missing)}"
-assert results["forest_fit_parallel"]["config"][
-    "bit_identical_to_serial"], "parallel fit diverged from serial"
-assert results["serve_batch"]["config"][
+assert results["serve_batch_columnar"]["config"][
     "identical_to_scalar"], "batched serving diverged from scalar guard"
 active = results["active_collect"]["config"]
 assert active["core_hours_ratio"] <= 0.5, \

@@ -2,25 +2,24 @@
 
 Times the operations that dominate PML-MPI's end-to-end cost —
 ensemble training, batch inference, compile-time tuning-table
-generation, runtime table lookup, and batched selection serving (both
-the scalar-ladder batch and the columnar block pipeline) — plus the
-``active_collect`` entry, which records the simulated core-hours the
-active-learning acquisition loop needs to match the exhaustive
+generation, runtime table lookup, and batched selection serving (the
+columnar block pipeline against the single-query guard loop) — plus
+the ``active_collect`` entry, which records the simulated core-hours
+the active-learning acquisition loop needs to match the exhaustive
 sweep's accuracy — and writes a machine-readable
 ``BENCH_results.json`` with the schema::
 
     { "<benchmark name>": {"wall_s": <float>, "config": {...}} }
 
 Each entry's ``config`` records the parameters that make the number
-interpretable (rows, trees, jobs, lookup counts, observed ratios), so
-two runs of the harness can be compared without reading the code.
+interpretable (rows, trees, lookup counts, observed ratios), so two
+runs of the harness can be compared without reading the code.
 
-The harness never *asserts* speedups — on a single-core container a
-process pool is pure overhead — it records what it measured.  What it
-*does* verify is correctness: the parallel forest fit must produce
-bit-identical predictions and importances to the serial one, and the
-lookup benchmark records the per-lookup cost ratio between a small and
-a large table (near 1.0 when lookup is independent of stored-config
+The harness never *asserts* speedups — it records what it measured.
+What it *does* verify is correctness: the columnar serving block must
+match the scalar guard loop decision for decision, and the lookup
+benchmark records the per-lookup cost ratio between a small and a
+large table (near 1.0 when lookup is independent of stored-config
 count, as the bisect + memoized-nearest design guarantees).
 """
 
@@ -99,9 +98,8 @@ def _bench_dataset():
 
 def _grow_rows(X: np.ndarray, y: np.ndarray,
                target_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tile a small campaign matrix up to *target_rows* rows — the
-    fit benchmark needs enough work for a process pool to be worth
-    engaging at all (42 rows never is)."""
+    """Tile a small campaign matrix up to *target_rows* rows, so the
+    fit benchmark times more than the 42-row campaign."""
     if len(X) >= target_rows:
         return X, y
     reps = -(-target_rows // len(X))  # ceil division
@@ -109,57 +107,30 @@ def _grow_rows(X: np.ndarray, y: np.ndarray,
             np.tile(y, reps)[:target_rows])
 
 
-def _forest_benchmarks(X: np.ndarray, y: np.ndarray, jobs: int,
-                       repeats: int, n_estimators: int,
-                       predict_rows: int,
+def _forest_benchmarks(X: np.ndarray, y: np.ndarray, repeats: int,
+                       n_estimators: int, predict_rows: int,
                        fit_rows: int) -> dict[str, dict]:
     from ..ml.forest import RandomForestClassifier
-    from ..ml.parallel import resolve_n_jobs
 
     X_fit, y_fit = _grow_rows(X, y, fit_rows)
 
-    def fit(n_jobs):
+    def fit():
         rf = RandomForestClassifier(n_estimators=n_estimators,
-                                    random_state=0, n_jobs=n_jobs)
+                                    random_state=0, n_jobs=1)
         rf.fit(X_fit, y_fit)
         return rf
 
-    serial_s = _best_of(lambda: fit(1), repeats)
-    # The adaptive gate caps workers at the core count and the
-    # available work; when it resolves to 1 the "parallel" fit runs
-    # the *identical* serial code path (no pool), so timing it again
-    # would only measure noise — the speedup is 1.0 by construction.
-    effective_jobs = resolve_n_jobs(
-        jobs, work_units=len(X_fit) * n_estimators)
-    if effective_jobs > 1:
-        parallel_s = _best_of(lambda: fit(jobs), repeats)
-    else:
-        parallel_s = serial_s
-
-    rf_serial, rf_parallel = fit(1), fit(jobs)
-    bit_identical = bool(
-        np.array_equal(rf_serial.predict(X_fit), rf_parallel.predict(X_fit))
-        and np.allclose(rf_serial.feature_importances_,
-                        rf_parallel.feature_importances_))
-
+    serial_s = _best_of(fit, repeats)
+    rf = fit()
     reps = max(1, -(-predict_rows // len(X)))  # ceil division
     X_big = np.tile(X, (reps, 1))[:predict_rows]
-    predict_s = _best_of(lambda: rf_serial.predict(X_big), repeats)
+    predict_s = _best_of(lambda: rf.predict(X_big), repeats)
 
-    base_cfg = {"n_estimators": n_estimators, "n_rows": int(len(X_fit))}
     return {
         "forest_fit_serial": {
             "wall_s": serial_s,
-            "config": {**base_cfg, "n_jobs": 1},
-        },
-        "forest_fit_parallel": {
-            "wall_s": parallel_s,
-            "config": {**base_cfg, "n_jobs": jobs,
-                       "effective_jobs": effective_jobs,
-                       "pool_engaged": effective_jobs > 1,
-                       "bit_identical_to_serial": bit_identical,
-                       "speedup_vs_serial": serial_s / parallel_s
-                       if parallel_s > 0 else float("inf")},
+            "config": {"n_estimators": n_estimators,
+                       "n_rows": int(len(X_fit)), "n_jobs": 1},
         },
         "forest_predict_batch": {
             "wall_s": predict_s,
@@ -249,13 +220,13 @@ def _lookup_benchmark(lookups: int, repeats: int) -> dict[str, dict]:
 
 def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
                                scalar_queries: int) -> dict[str, dict]:
-    """Single-query guard loop vs one cold service batch over the same
-    query stream — the serving layer's headline number.
+    """Single-query guard loop vs one cold columnar service batch over
+    the same query stream — the serving layer's headline number.
 
     The scalar side is timed on a prefix of *scalar_queries* queries
     (a full 10k scalar pass would dominate the harness wall time) and
-    compared per-query; ``identical_to_scalar`` verifies the batch
-    decisions match the scalar ladder on that prefix.
+    compared per-query; ``identical_to_scalar`` verifies the block's
+    decisions match the scalar guard loop on that prefix.
     """
     from ..serve import SelectionQuery, SelectionService
     from ..simcluster.machine import Machine
@@ -283,7 +254,7 @@ def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
                              machines[(q.nodes, q.ppn)], q.msg_size)
                 for q in prefix]
 
-    def batch():
+    def columnar():
         # Cold service each repeat: the memo never carries over, so
         # the number reflects dedup + vectorized inference, not a
         # pre-warmed cache.  quantize=False keeps decisions
@@ -291,58 +262,17 @@ def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
         service = SelectionService(GuardedSelector(selector), spec,
                                    cache_size=len(queries),
                                    quantize=False)
-        return service.select_batch(queries)
-
-    def columnar():
-        # Same cold-service discipline as ``batch`` so the two numbers
-        # are directly comparable; the block path never builds a
-        # per-row Python object between validation and scatter.
-        service = SelectionService(GuardedSelector(selector), spec,
-                                   cache_size=len(queries),
-                                   quantize=False)
         return service.select_block(queries).to_decisions()
 
     scalar_s = _best_of(scalar, repeats)
-    # The headline claim is the batch->columnar *ratio*, so those two
-    # closures are timed interleaved (see _best_of_paired) rather than
-    # in separate phases.
-    batch_s, columnar_s = _best_of_paired([batch, columnar],
-                                          max(repeats, 5))
-    identical = ([d.algorithm for d in batch()[:len(prefix)]]
+    columnar_s = _best_of(columnar, max(repeats, 5))
+    identical = ([d.algorithm for d in columnar()[:len(prefix)]]
                  == scalar())
-    columnar_identical = bool(identical and [
-        (d.algorithm, d.action, d.detail, d.cached)
-        for d in columnar()
-    ] == [
-        (d.algorithm, d.action, d.detail, d.cached)
-        for d in batch()
-    ])
     scalar_per_query = scalar_s / len(prefix)
-    batch_per_query = batch_s / len(queries)
     columnar_per_query = columnar_s / len(queries)
     return {
         "serve_batch_columnar": {
             "wall_s": columnar_s,
-            "config": {
-                "cluster": spec.name,
-                "collective": BENCH_COLLECTIVE,
-                "n_queries": len(queries),
-                "serve_batch_wall_s": batch_s,
-                # Identity is checked two ways: columnar decisions are
-                # tuple-equal to the scalar-ladder batch on all rows,
-                # and that batch matches the raw guard loop on the
-                # scalar prefix.
-                "identical_to_scalar": columnar_identical,
-                "speedup_vs_serve_batch":
-                    batch_per_query / columnar_per_query
-                    if columnar_per_query > 0 else float("inf"),
-                "speedup_vs_scalar":
-                    scalar_per_query / columnar_per_query
-                    if columnar_per_query > 0 else float("inf"),
-            },
-        },
-        "serve_batch": {
-            "wall_s": batch_s,
             "config": {
                 "cluster": spec.name,
                 "collective": BENCH_COLLECTIVE,
@@ -352,9 +282,9 @@ def _batch_selection_benchmark(selector, repeats: int, n_queries: int,
                 "scalar_queries": len(prefix),
                 "scalar_wall_s": scalar_s,
                 "identical_to_scalar": bool(identical),
-                "speedup_batch_vs_scalar":
-                    scalar_per_query / batch_per_query
-                    if batch_per_query > 0 else float("inf"),
+                "speedup_vs_scalar":
+                    scalar_per_query / columnar_per_query
+                    if columnar_per_query > 0 else float("inf"),
             },
         },
     }
@@ -527,9 +457,7 @@ def run_benchmarks(quick: bool = False, jobs: int = 4, repeats: int = 3,
         lookups = QUICK_LOOKUPS if quick else DEFAULT_LOOKUPS
     n_estimators = 16 if quick else 100
     predict_rows = 5_000 if quick else 50_000
-    #: Rows the fit benchmark is grown to: large enough that, on a
-    #: multi-core machine, the adaptive gate engages the pool and the
-    #: parallel fit genuinely wins.
+    #: Rows the fit benchmark is grown to.
     fit_rows = 256 if quick else 2_048
     repeats = max(1, repeats if not quick else 1)
 
@@ -550,11 +478,10 @@ def run_benchmarks(quick: bool = False, jobs: int = 4, repeats: int = 3,
 
     tracer = get_tracer()
     results: dict[str, dict] = {}
-    note(f"forest fit/predict ({n_estimators} trees, jobs={jobs})")
-    with tracer.span("bench.forest", trees=n_estimators, jobs=jobs):
-        results.update(_forest_benchmarks(X, y, jobs, repeats,
-                                          n_estimators, predict_rows,
-                                          fit_rows))
+    note(f"forest fit/predict ({n_estimators} trees)")
+    with tracer.span("bench.forest", trees=n_estimators):
+        results.update(_forest_benchmarks(X, y, repeats, n_estimators,
+                                          predict_rows, fit_rows))
     note("tuning-table generation")
     with tracer.span("bench.table_generation"):
         results.update(_table_generation_benchmark(selector, repeats))

@@ -130,7 +130,7 @@ class SVC:
                 "max_iter": self.max_iter, "max_samples": self.max_samples,
                 "random_state": self.random_state}
 
-    def _resolve_gamma(self, X: np.ndarray) -> float:
+    def _gamma_for(self, X: np.ndarray) -> float:
         if self.gamma == "scale":
             var = X.var()
             return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
@@ -158,7 +158,7 @@ class SVC:
             sel = np.concatenate(keep)
             X, y_enc = X[sel], y_enc[sel]
 
-        gamma = self._resolve_gamma(X)
+        gamma = self._gamma_for(X)
         self._binaries: list[_BinarySVM] = []
         for c in range(len(self.classes_)):
             yy = np.where(y_enc == c, 1.0, -1.0)

@@ -55,7 +55,7 @@ class _TreeBase:
         raise NotImplementedError
 
     # Fitting -----------------------------------------------------------
-    def _resolve_max_features(self, n_features: int) -> int:
+    def _max_features_for(self, n_features: int) -> int:
         mf = self.max_features
         if mf is None:
             return n_features
@@ -70,7 +70,7 @@ class _TreeBase:
     def _fit_arrays(self, X: np.ndarray, y: np.ndarray) -> None:
         n, d = X.shape
         rng = np.random.default_rng(self.random_state)
-        k = self._resolve_max_features(d)
+        k = self._max_features_for(d)
         max_depth = self.max_depth if self.max_depth is not None else 2**31
 
         feature: list[int] = []
@@ -186,11 +186,12 @@ class PackedTrees:
     :meth:`GradientBoostingClassifier.decision_function_batch`.
 
     Traversal is organized around what the ensembles this framework
-    trains actually look like (shallow, stump-heavy): stump trees
-    resolve slab-wise grouped by root feature, deeper trees take a
-    slab-wise root step and then walk jointly through one flat
-    (tree, row) lane pool, and :meth:`mean_values` deduplicates large
-    batches by threshold cell before descending at all.  Every lane
+    trains actually look like (shallow, stump-heavy): every tree takes
+    a slab-wise root step grouped by root feature (which resolves
+    stumps and single-leaf trees outright), the deeper trees then walk
+    jointly through one flat (tree, row) lane pool, and
+    :meth:`mean_values` deduplicates large batches by threshold cell
+    before descending at all.  Every lane
     still performs the same ``X[row, feature] <= threshold`` float64
     comparison as :meth:`_TreeBase.apply`, so leaf assignments are
     bit-identical to per-tree descent; :meth:`mean_values` accumulates
@@ -231,46 +232,35 @@ class PackedTrees:
         self.left_ = np.concatenate(left)
         self.right_ = np.concatenate(right)
         self.values_ = np.vstack(values)
-        # Classify trees once at pack time: stumps (an internal root
-        # whose both children are leaves) resolve with one column
-        # compare and are batched per root feature in _leaf_columns;
-        # deeper trees take the generic descent.
+        # Every tree takes one slab-wise root step, then the deeper
+        # ones walk on jointly (one flat lane pool).  Ordering trees by
+        # root feature makes each root step write a contiguous slab of
+        # the lane matrix; a single-leaf root joins the slab of feature
+        # 0 with both branches pointing at itself, so its lane starts
+        # (and stays) on its leaf.
         root_feat = self.feature_[self.roots_]
-        lchild = self.left_[self.roots_]
-        rchild = self.right_[self.roots_]
-        internal = root_feat != _LEAF
-        # Leaf roots carry _LEAF (= -1) children; the gather then reads
-        # the last arena node, which the `internal` mask discards.
-        stump = internal & (self.feature_[lchild] == _LEAF) \
-            & (self.feature_[rchild] == _LEAF)
-        self._stump_groups = []
-        stump_idx = np.flatnonzero(stump)
-        for f in np.unique(root_feat[stump_idx]):
-            tidx = stump_idx[root_feat[stump_idx] == f]
-            roots_f = self.roots_[tidx]
-            self._stump_groups.append(
-                (int(f), tidx,
-                 self.threshold_[roots_f][:, None],
-                 self.left_[roots_f][:, None],
-                 self.right_[roots_f][:, None]))
-        # Deeper trees descend jointly (one flat lane pool); ordering
-        # them by root feature makes each root-step write a contiguous
-        # slab of the lane matrix.
-        deep_idx = np.flatnonzero(internal & ~stump)
-        order = np.argsort(root_feat[deep_idx], kind="stable")
-        self._deep_order = deep_idx[order]
-        self._deep_groups = []
-        dfo = root_feat[self._deep_order]
+        leaf_root = root_feat == _LEAF
+        step_feat = np.where(leaf_root, 0, root_feat)
+        order = np.argsort(step_feat, kind="stable")
+        #: Lane-matrix row of each tree.
+        self._lane_of = np.empty(self.n_trees, dtype=np.int64)
+        self._lane_of[order] = np.arange(self.n_trees)
+        step_left = np.where(leaf_root, self.roots_,
+                             self.left_[self.roots_])
+        step_right = np.where(leaf_root, self.roots_,
+                              self.right_[self.roots_])
+        self._root_steps = []
+        sorted_feat = step_feat[order]
         start = 0
-        for f in np.unique(dfo):
-            cnt = int((dfo == f).sum())
+        for f in np.unique(sorted_feat):
+            cnt = int((sorted_feat == f).sum())
             sl = slice(start, start + cnt)
-            roots_f = self.roots_[self._deep_order[sl]]
-            self._deep_groups.append(
+            tidx = order[sl]
+            self._root_steps.append(
                 (int(f), sl,
-                 self.threshold_[roots_f][:, None],
-                 self.left_[roots_f][:, None],
-                 self.right_[roots_f][:, None]))
+                 self.threshold_[self.roots_[tidx]][:, None],
+                 step_left[tidx][:, None],
+                 step_right[tidx][:, None]))
             start += cnt
         # Per-feature sorted threshold sets: rows whose every
         # ``x <= thr`` compare agrees land in identical leaves in every
@@ -294,56 +284,42 @@ class PackedTrees:
                 f"got {X.shape}")
         return X
 
-    def _leaf_columns(self, Xc: np.ndarray,
-                      Xt: np.ndarray) -> list:
-        """Per-tree arena leaf arrays (``None`` for single-leaf trees).
+    def _leaf_lanes(self, Xc: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+        """Arena leaf index of every (tree, row) lane: shape
+        ``(n_trees, len(Xc))``, in root-step order (tree ``t`` is row
+        ``_lane_of[t]``).
 
-        Stump trees sharing a root feature resolve together: one
-        ``(n_stumps, n_rows)`` compare-and-select per distinct feature
-        replaces a descent per tree, and each tree's result is a
-        contiguous row of it.  Deeper trees take their root step the
-        same slab-wise way, then walk *jointly*: all still-internal
-        (tree, row) lanes form one flat pool, so the loop runs
-        max-depth iterations over a shrinking pool instead of a
-        Python-level descent per tree.  Every lane performs the same
-        ``X[row, feature] <= threshold`` float64 compare as
-        :meth:`_TreeBase.apply`, so leaf assignments are bit-identical
-        to per-tree descent.
+        Trees sharing a root feature take their root step together:
+        one ``(n_trees_f, n_rows)`` compare-and-select per distinct
+        feature.  Then all still-internal lanes form one flat pool, so
+        the loop runs max-depth iterations over a shrinking pool
+        instead of a Python-level descent per tree.  Every lane
+        performs the same ``X[row, feature] <= threshold`` float64
+        compare as :meth:`_TreeBase.apply`, so leaf assignments are
+        bit-identical to per-tree descent.
         """
-        cols: list = [None] * self.n_trees
-        for f, tidx, thr, lt, rt in self._stump_groups:
-            nodes = np.where(Xt[f][None, :] <= thr, lt, rt)
-            for j, t in enumerate(tidx.tolist()):
-                cols[t] = nodes[j]
-        deep = self._deep_order
-        if len(deep):
-            n = Xc.shape[0]
-            feature, threshold = self.feature_, self.threshold_
-            left, right = self.left_, self.right_
-            lanes = np.empty((len(deep), n), dtype=np.int64)
-            for f, sl, thr, lt, rt in self._deep_groups:
-                lanes[sl] = np.where(Xt[f][None, :] <= thr, lt, rt)
-            flat = lanes.ravel()  # view: writes land in `lanes`
-            act = np.flatnonzero(feature[flat] != _LEAF)
-            while len(act):
-                cur = flat[act]
-                go_left = Xc[act % n, feature[cur]] <= threshold[cur]
-                nxt = np.where(go_left, left[cur], right[cur])
-                flat[act] = nxt
-                act = act[feature[nxt] != _LEAF]
-            for j, t in enumerate(deep.tolist()):
-                cols[t] = lanes[j]
-        return cols
+        n = Xc.shape[0]
+        feature, threshold = self.feature_, self.threshold_
+        left, right = self.left_, self.right_
+        lanes = np.empty((self.n_trees, n), dtype=np.int64)
+        for f, sl, thr, lt, rt in self._root_steps:
+            lanes[sl] = np.where(Xt[f][None, :] <= thr, lt, rt)
+        flat = lanes.ravel()  # view: writes land in `lanes`
+        act = np.flatnonzero(feature[flat] != _LEAF)
+        while len(act):
+            cur = flat[act]
+            go_left = Xc[act % n, feature[cur]] <= threshold[cur]
+            nxt = np.where(go_left, left[cur], right[cur])
+            flat[act] = nxt
+            act = act[feature[nxt] != _LEAF]
+        return lanes
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Arena leaf index of every (row, tree) pair: shape
         ``(len(X), n_trees)``."""
         Xc = self._check(X)
-        Xt = np.ascontiguousarray(Xc.T)
-        out = np.empty((len(Xc), self.n_trees), dtype=np.int64)
-        for t, node in enumerate(self._leaf_columns(Xc, Xt)):
-            out[:, t] = self.roots_[t] if node is None else node
-        return out
+        lanes = self._leaf_lanes(Xc, np.ascontiguousarray(Xc.T))
+        return lanes.T[:, self._lane_of]
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Per-(row, tree) leaf value rows: ``(len(X), n_trees, V)``."""
@@ -394,14 +370,11 @@ class PackedTrees:
                  for j in range(n_values)]
         out = np.zeros((len(Xc), n_values))
         ocols = [out[:, j] for j in range(n_values)]
-        for t, node in enumerate(self._leaf_columns(Xc, Xt)):
-            if node is None:
-                root = self.roots_[t]
-                for j in range(n_values):
-                    ocols[j] += vcols[j][root]
-            else:
-                for j in range(n_values):
-                    ocols[j] += vcols[j][node]
+        lanes = self._leaf_lanes(Xc, Xt)
+        for t in range(self.n_trees):
+            node = lanes[self._lane_of[t]]
+            for j in range(n_values):
+                ocols[j] += vcols[j][node]
         return out / self.n_trees
 
 

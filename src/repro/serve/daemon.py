@@ -215,17 +215,19 @@ class SelectionDaemon:
         # Boot sentinel: written before model load, removed after.  A
         # leftover sentinel naming the *same* bundle bytes means that
         # artifact killed the last boot mid-load — quarantine it
-        # instead of crash-looping on it.
-        self._recover_boot_sentinel()
+        # instead of crash-looping on it.  The bundle is read and
+        # checksummed once here; the store's boot reuses the checksum.
         checksum = file_crc32(cfg.bundle) if cfg.bundle is not None \
             else None
+        if self._recover_boot_sentinel(checksum):
+            checksum = None  # quarantined: there is no bundle now
         atomic_write_text(self.sentinel_path, json.dumps({
             "pid": os.getpid(),
             "bundle": str(cfg.bundle) if cfg.bundle else None,
             "checksum": checksum,
         }))
 
-        snapshot, error = self.store.boot()
+        snapshot, error = self.store.boot(checksum)
         if error is not None:
             # The bundle failed validation (cleanly): serve the
             # heuristic floor, and quarantine the artifact so the next
@@ -252,27 +254,30 @@ class SelectionDaemon:
             fallback=error is not None)
         return self
 
-    def _recover_boot_sentinel(self) -> None:
+    def _recover_boot_sentinel(self, checksum: str | None) -> bool:
+        """Quarantine the bundle when a leftover sentinel names these
+        bytes (*checksum*); returns whether it was quarantined."""
         try:
             sentinel = json.loads(self.sentinel_path.read_text())
         except (OSError, json.JSONDecodeError):
-            return
+            return False
         self.sentinel_path.unlink(missing_ok=True)
         if not isinstance(sentinel, dict):
-            return
+            return False
         bundle = self.config.bundle
-        if bundle is None or not bundle.exists():
-            return
+        if bundle is None or checksum is None:
+            return False
         if sentinel.get("bundle") != str(bundle):
-            return
-        if sentinel.get("checksum") != file_crc32(bundle):
-            return  # the bundle changed since the crash: give it a shot
+            return False
+        if sentinel.get("checksum") != checksum:
+            return False  # the bundle changed since the crash: give it a shot
         self._counters["crash_recovered"].inc()
         try:
             quarantine(bundle)
             self._counters["quarantined_boot"].inc()
         except OSError:
-            return
+            return False
+        return True
 
     # -- serving ---------------------------------------------------------
     def run(self) -> int:

@@ -6,8 +6,14 @@ floor service used for deadline degradation) tagged with the bundle
 file's checksum.  :class:`SnapshotStore` owns the current snapshot and
 swaps it under a lock:
 
-* **watch** — :meth:`SnapshotStore.poll` checksums the bundle file; an
-  unchanged checksum is a no-op, so the daemon can poll cheaply.
+* **watch** — :meth:`SnapshotStore.poll` stats the bundle file and
+  compares ``(st_dev, st_ino, st_size, st_mtime_ns)`` with the
+  signature recorded alongside the current snapshot's checksum; an
+  unchanged signature is a no-op that reads no bytes, so the daemon
+  can poll cheaply.  Bundle writers replace the file atomically, so a
+  new bundle always shows as a new inode.  A changed signature still
+  decides by checksum (a rewrite with identical bytes is a no-op); the
+  explicit :meth:`SnapshotStore.reload` always checksums.
 * **verify** — a changed file is loaded through
   :func:`~repro.core.bundle.load_selector`, which validates format,
   version and the embedded CRC before any model object is built.
@@ -29,6 +35,7 @@ snapshot generations.
 
 from __future__ import annotations
 
+import os
 import threading
 import zlib
 from dataclasses import dataclass
@@ -48,6 +55,7 @@ __all__ = [
     "Snapshot",
     "SnapshotStore",
     "file_crc32",
+    "file_signature",
 ]
 
 #: Snapshot sources.
@@ -63,6 +71,16 @@ def file_crc32(path: str | Path) -> str | None:
     except OSError:
         return None
     return f"crc32:{zlib.crc32(data) & 0xFFFFFFFF:08x}"
+
+
+def file_signature(path: str | Path) -> tuple[int, int, int, int] | None:
+    """``(st_dev, st_ino, st_size, st_mtime_ns)`` of the file, or
+    ``None`` when it cannot be stat'ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,10 @@ class SnapshotStore:
             else MetricsRegistry()
         self._lock = threading.Lock()
         self._snapshot: Snapshot | None = None
+        #: Bundle file signature taken before the current snapshot's
+        #: checksum was computed: while the file still shows it, a
+        #: poll needs no read.
+        self._signature: tuple[int, int, int, int] | None = None
         self._version = 0
 
     # -- construction ----------------------------------------------------
@@ -164,8 +186,13 @@ class SnapshotStore:
                         lineage=lineage)
 
     # -- lifecycle -------------------------------------------------------
-    def boot(self) -> tuple[Snapshot, str | None]:
+    def boot(self, checksum: str | None = None
+             ) -> tuple[Snapshot, str | None]:
         """Build the initial snapshot.
+
+        *checksum* is the bundle's :func:`file_crc32` when the caller
+        already computed it (the daemon does, for its boot sentinel);
+        otherwise the store reads the file itself.
 
         Returns ``(snapshot, error_detail)``: on a clean bundle load the
         detail is ``None``; when the bundle is missing or invalid the
@@ -173,10 +200,13 @@ class SnapshotStore:
         says why (the daemon decides whether to quarantine).
         """
         error: str | None = None
+        signature = None
         if self.bundle_path is None:
             snapshot = self._build(SOURCE_FLOOR, None)
         else:
-            checksum = file_crc32(self.bundle_path)
+            signature = file_signature(self.bundle_path)
+            if checksum is None:
+                checksum = file_crc32(self.bundle_path)
             try:
                 if checksum is None:
                     raise FileNotFoundError(self.bundle_path)
@@ -184,9 +214,15 @@ class SnapshotStore:
             except (ArtifactError, FileNotFoundError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 snapshot = self._build(SOURCE_FLOOR, None)
+                signature = None
+        self._swap(snapshot, signature)
+        return snapshot, error
+
+    def _swap(self, snapshot: Snapshot,
+              signature: tuple[int, int, int, int] | None) -> None:
         with self._lock:
             self._snapshot = snapshot
-        return snapshot, error
+            self._signature = signature
 
     def current(self) -> Snapshot:
         with self._lock:
@@ -195,31 +231,44 @@ class SnapshotStore:
             return self._snapshot
 
     def poll(self) -> ReloadResult:
-        """Reload iff the bundle file's checksum changed."""
+        """Reload iff the bundle file's checksum changed; reads the
+        file only when its signature changed."""
         current = self.current()
         if self.bundle_path is None:
             return ReloadResult("unchanged", "no bundle configured",
                                 current.version)
-        checksum = file_crc32(self.bundle_path)
+        signature = file_signature(self.bundle_path)
+        checksum = None
+        if signature is not None:
+            if signature == self._signature:
+                return ReloadResult("unchanged", "file unchanged",
+                                    current.version)
+            checksum = file_crc32(self.bundle_path)
         if checksum is None:
             # The file vanished: keep serving the loaded snapshot (the
             # writer may be mid-replace); never degrade on a poll.
             return ReloadResult("unchanged", "bundle file unreadable",
                                 current.version)
         if checksum == current.checksum:
+            # Same bytes under a new signature (touched, or rewritten
+            # identically): remember it so later polls skip the read.
+            with self._lock:
+                if self._snapshot is current:
+                    self._signature = signature
             return ReloadResult("unchanged", "checksum unchanged",
                                 current.version)
-        return self.reload(checksum=checksum)
+        return self.reload()
 
-    def reload(self, checksum: str | None = None) -> ReloadResult:
+    def reload(self) -> ReloadResult:
         """Verify-then-swap the bundle; reject (keep current) on any
-        validation failure."""
+        validation failure.  Always checksums the file, after taking
+        the signature recorded with the new snapshot."""
         current = self.current()
         if self.bundle_path is None:
             return ReloadResult("rejected", "no bundle configured",
                                 current.version)
-        if checksum is None:
-            checksum = file_crc32(self.bundle_path)
+        signature = file_signature(self.bundle_path)
+        checksum = file_crc32(self.bundle_path)
         if checksum is None:
             return ReloadResult("rejected", "bundle file unreadable",
                                 current.version)
@@ -231,8 +280,7 @@ class SnapshotStore:
             return ReloadResult(
                 "rejected", f"{type(exc).__name__}: {exc}",
                 current.version)
-        with self._lock:
-            self._snapshot = snapshot
+        self._swap(snapshot, signature)
         return ReloadResult(
             "reloaded", f"now serving {snapshot.describe()}",
             snapshot.version)

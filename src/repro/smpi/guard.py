@@ -30,6 +30,11 @@ query, the guard ladder::
    degrades to the cheapest feasible registry algorithm; the guard
    itself never raises for a well-formed query.
 
+:meth:`GuardedSelector.explain` runs the ladder for one query and is
+the reference every faster path is checked against;
+:meth:`GuardedSelector.explain_block` is the one batch form, run by
+the serving layer over prevalidated columnar rows.
+
 Per-query health counters (queries served, remaps, OOD hits, breaker
 transitions) are typed :class:`~repro.obs.telemetry.Counter`
 instruments in a per-instance metrics registry, exposed via
@@ -174,10 +179,6 @@ class GuardedSelector(AlgorithmSelector):
                msg_size: int) -> str:
         return self.explain(collective, machine, msg_size).algorithm
 
-    def select_batch(self, queries: list[tuple[str, Machine, int]]
-                     ) -> list[str]:
-        return [d.algorithm for d in self.explain_batch(queries)]
-
     def explain(self, collective: str, machine: Machine,
                 msg_size: int) -> GuardDecision:
         """Run the guard ladder, returning the full decision record."""
@@ -185,64 +186,14 @@ class GuardedSelector(AlgorithmSelector):
         if decision is not None:
             return self._finish(decision)
         p = int(machine.nodes) * int(machine.ppn)
-        return self._finish(self._resolve_inner(
+        return self._finish(self._consult_inner(
             collective, machine, msg_size, p))
-
-    def explain_batch(self, queries: list[tuple[str, Machine, int]]
-                      ) -> list[GuardDecision]:
-        """Run the guard ladder over a whole batch of queries.
-
-        Queries pass the ladder's intake rungs (validate, OOD, breaker
-        admission) in order — the first malformed query raises, exactly
-        as the scalar loop would.  Every admitted query is answered by
-        *one* ``inner.select_batch`` call (the vectorized path); each
-        prediction is then feasibility-classified individually, so the
-        counter partition invariant holds query-for-query.  If the
-        batched inner call itself raises, the admitted queries are
-        replayed sequentially through the scalar inner path — without
-        re-consulting the breaker, whose admission they already hold.
-
-        With a healthy inner selector the decisions are element-wise
-        identical to ``[explain(*q) for q in queries]``.  Breaker
-        *admission* is decided at intake for the whole batch, so state
-        transitions caused by the batch's own outcomes affect later
-        batches, not later queries of the same batch.
-        """
-        decisions: list[GuardDecision | None] = [None] * len(queries)
-        pending: list[int] = []
-        for i, (collective, machine, msg_size) in enumerate(queries):
-            early = self._intake(collective, machine, msg_size)
-            if early is not None:
-                decisions[i] = self._finish(early)
-            else:
-                pending.append(i)
-        if pending:
-            batch = [queries[i] for i in pending]
-            try:
-                predictions = self.inner.select_batch(batch)
-                if len(predictions) != len(batch):
-                    raise RuntimeError(
-                        f"inner select_batch returned {len(predictions)} "
-                        f"predictions for {len(batch)} queries")
-            except Exception:
-                predictions = None
-            for j, i in enumerate(pending):
-                collective, machine, msg_size = queries[i]
-                p = int(machine.nodes) * int(machine.ppn)
-                if predictions is None:
-                    decisions[i] = self._finish(self._resolve_inner(
-                        collective, machine, msg_size, p))
-                else:
-                    decisions[i] = self._finish(self._classify(
-                        collective, machine, msg_size, p,
-                        predictions[j]))
-        return decisions  # type: ignore[return-value]
 
     def explain_block(self, spec: object, collectives: np.ndarray,
                       nodes: np.ndarray, ppn: np.ndarray,
                       msg_size: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar :meth:`explain_batch` over **prevalidated** rows.
+        """Run the guard ladder over a block of **prevalidated** rows.
 
         The caller (the columnar serving layer) guarantees every row
         already satisfies :func:`validate_query` and fits *spec*'s
@@ -251,15 +202,20 @@ class GuardedSelector(AlgorithmSelector):
         array-at-a-time, breaker admission collapses to one state read
         while the breaker is closed (``allow_request`` is pure in that
         state), inference goes through the inner selector's
-        ``select_block`` when it has one, and feasibility
-        classification is vectorized per collective.  Rare rows — OOD,
-        refused, infeasible, or any row once the inner call fails or
-        the breaker leaves the closed state — are replayed through the
-        *same scalar rungs* in row order, so decisions, counters and
-        breaker/clock consumption are identical to the scalar ladder.
+        ``select_block`` when it has one (else one ``inner.select`` per
+        admitted row), and feasibility classification is vectorized
+        per collective.  Rare rows — OOD, refused, infeasible, or any
+        row once the inner call fails or the breaker leaves the closed
+        state — are replayed through the *same scalar rungs* as
+        :meth:`explain`, in row order.
 
-        Returns ``(algorithms, actions, details)`` object arrays,
-        row-for-row identical to ``explain_batch`` on the same rows.
+        Breaker *admission* is decided at intake for the whole block,
+        so transitions caused by the block's own outcomes affect later
+        blocks, not later rows of the same block; otherwise each row's
+        decision, counters and breaker/clock consumption equal
+        :meth:`explain` on that row.
+
+        Returns ``(algorithms, actions, details)`` object arrays.
         """
         n = len(msg_size)
         self._counters["queries"].inc(n)
@@ -333,12 +289,12 @@ class GuardedSelector(AlgorithmSelector):
                         spec, collectives[idx], nodes[idx], ppn[idx],
                         msg_size[idx]), dtype=object)
                 else:
-                    batch = [(collectives[i], machine_at(i),
-                              int(msg_size[i])) for i in idx]
-                    preds_list = self.inner.select_batch(batch)
+                    select = self.inner.select
                     predictions = np.empty(len(idx), dtype=object)
-                    for j, value in enumerate(preds_list):
-                        predictions[j] = value
+                    for j, i in enumerate(idx.tolist()):
+                        predictions[j] = select(
+                            collectives[i], machine_at(i),
+                            int(msg_size[i]))
                 if len(predictions) != len(idx):
                     raise RuntimeError(
                         f"inner returned {len(predictions)} predictions "
@@ -346,10 +302,10 @@ class GuardedSelector(AlgorithmSelector):
             except Exception:
                 predictions = None
             if predictions is None:
-                # Same sequential replay as explain_batch: admission is
-                # already held, each row consults the scalar inner path.
+                # Sequential replay: admission is already held, each
+                # row consults the scalar inner path.
                 for i in idx:
-                    put(i, self._resolve_inner(
+                    put(i, self._consult_inner(
                         collectives[i], machine_at(i), int(msg_size[i]),
                         int(p64[i])))
             else:
@@ -358,9 +314,9 @@ class GuardedSelector(AlgorithmSelector):
                                      block_fn is not None,
                                      algorithms, actions, details)
 
-        # last_decision parity with explain_batch (diagnostics): the
-        # final _finish there is the highest-index admitted row, or the
-        # last row overall when nothing reached the inner selector.
+        # last_decision (diagnostics): the highest-index admitted row,
+        # or the last row overall when nothing reached the inner
+        # selector.
         last = int(idx[-1]) if len(idx) else n - 1
         self.last_decision = GuardDecision(
             str(collectives[last]), str(algorithms[last]),
@@ -395,7 +351,7 @@ class GuardedSelector(AlgorithmSelector):
             feas &= ~pow2_req[kidx] | base.power_of_two_mask(pr)
             ok[rows] = feas
         if not via_block:
-            # select_batch may return arbitrary objects; select_block
+            # inner.select may return arbitrary objects; select_block
             # returns name strings by contract.
             ok &= np.fromiter((isinstance(v, str) for v in predictions),
                               np.bool_, len(idx))
@@ -480,7 +436,7 @@ class GuardedSelector(AlgorithmSelector):
                 f"breaker {self.breaker.state}")
         return None
 
-    def _resolve_inner(self, collective: str, machine: Machine,
+    def _consult_inner(self, collective: str, machine: Machine,
                        msg_size: int, p: int) -> GuardDecision:
         """Consult the scalar inner selector (admission already granted)
         and classify its answer."""

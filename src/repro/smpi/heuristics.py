@@ -91,33 +91,20 @@ class AlgorithmSelector(abc.ABC):
     ``super()``-style helpers) before trusting the query — the runtime
     guard layer and the regression suite hold every selector to that
     contract.
+
+    Selectors that can answer *columnar* batches additionally
+    implement ``select_block(spec, collectives, nodes, ppn,
+    msg_size)`` taking per-row NumPy arrays of **prevalidated**
+    queries for one cluster spec and returning an object array of
+    algorithm-name strings, row-for-row identical to :meth:`select`.
+    The guard's batch path probes for that method with ``getattr``
+    and calls :meth:`select` once per row when it is absent.
     """
 
     @abc.abstractmethod
     def select(self, collective: str, machine: Machine,
                msg_size: int) -> str:
         """Return the registry name of the chosen algorithm."""
-
-    def select_batch(self, queries: list[tuple[str, Machine, int]]
-                     ) -> list[str]:
-        """Answer many ``(collective, machine, msg_size)`` queries.
-
-        The base implementation loops over :meth:`select`; selectors
-        with a vectorized inference path override it.  Either way the
-        result is element-wise identical to the scalar loop, and the
-        first invalid query raises just as the loop would.
-
-        Selectors that can answer *columnar* batches additionally
-        implement ``select_block(spec, collectives, nodes, ppn,
-        msg_size)`` taking per-row NumPy arrays of **prevalidated**
-        queries for one cluster spec and returning an object array of
-        algorithm-name strings, row-for-row identical to the scalar
-        loop.  The columnar serving pipeline probes for that method
-        with ``getattr`` and falls back to :meth:`select_batch` (via
-        per-row ``Machine`` construction) when it is absent.
-        """
-        return [self.select(collective, machine, msg_size)
-                for collective, machine, msg_size in queries]
 
     def describe(self) -> str:
         return type(self).__name__

@@ -12,9 +12,8 @@ from repro.core.bench import (
     write_bench_results,
 )
 
-REQUIRED = {"forest_fit_serial", "forest_fit_parallel",
-            "forest_predict_batch", "table_generation", "table_lookup",
-            "serve_batch"}
+REQUIRED = {"forest_fit_serial", "forest_predict_batch",
+            "table_generation", "table_lookup", "serve_batch_columnar"}
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +31,6 @@ class TestRunBenchmarks:
         for entry in results.values():
             assert entry["wall_s"] >= 0
 
-    def test_parallel_fit_bit_identical(self, results):
-        cfg = results["forest_fit_parallel"]["config"]
-        assert cfg["bit_identical_to_serial"] is True
-        assert cfg["n_jobs"] == 2
-
     def test_lookup_does_not_scale_with_table_size(self, results):
         """A 64x bigger table must not cost ~64x per lookup; the bisect
         + memoized-nearest design keeps the ratio near 1 (allow slack
@@ -47,14 +41,14 @@ class TestRunBenchmarks:
         assert cfg["per_lookup_ratio_large_vs_small"] < configs_ratio / 4
 
     def test_serve_batch_identical_and_faster(self, results):
-        """The batched service must agree with the scalar guard loop
-        decision-for-decision, and its per-query cost must beat the
-        scalar path by a wide margin (the acceptance floor is 2x;
-        assert half of that to stay robust to container noise)."""
-        cfg = results["serve_batch"]["config"]
+        """The columnar service block must agree with the scalar guard
+        loop decision-for-decision, and its per-query cost must beat
+        the scalar path (the committed floor is 100x; assert a plain
+        win to stay robust to container noise at quick size)."""
+        cfg = results["serve_batch_columnar"]["config"]
         assert cfg["identical_to_scalar"] is True
         assert cfg["n_queries"] >= cfg["scalar_queries"] > 0
-        assert cfg["speedup_batch_vs_scalar"] > 1.0
+        assert cfg["speedup_vs_scalar"] > 1.0
 
     def test_write_and_reload(self, results, tmp_path):
         path = write_bench_results(results, tmp_path / "b.json")

@@ -221,7 +221,7 @@ class TestSnapshotStore:
         assert current.checksum == file_crc32(bundle)
         # In-flight holders of the old snapshot still work: nothing in
         # it was mutated.
-        assert first.service.select_batch([]) == []
+        assert first.service.select_block([]).to_decisions() == []
 
     def test_reload_rejects_corrupt_and_rolls_back(self, ri_spec,
                                                    tiny_selector,
@@ -243,6 +243,57 @@ class TestSnapshotStore:
         assert store.poll().status == "unchanged"
         assert store.reload().status == "reloaded"
 
+    def test_poll_of_unchanged_file_reads_nothing(self, ri_spec,
+                                                 tiny_selector, tmp_path,
+                                                 monkeypatch):
+        bundle = tmp_path / "b.json"
+        save_selector(tiny_selector, bundle)
+        store = SnapshotStore(ri_spec, bundle)
+        first, _ = store.boot(file_crc32(bundle))
+        read = _count_bundle_reads(monkeypatch, bundle)
+        for _ in range(5):
+            assert store.poll().status == "unchanged"
+        assert read == [] and store.current() is first
+        # Same bytes under a new inode: checksummed once, then quiet.
+        save_selector(tiny_selector, bundle)
+        assert store.poll().status == "unchanged"
+        assert store.poll().status == "unchanged"
+        assert read == [bundle.stat().st_size]
+        assert store.current() is first
+
+    def test_poll_reloads_on_replace_and_in_place_rewrite(
+            self, ri_spec, tiny_selector, tmp_path, mini_dataset,
+            monkeypatch):
+        import os
+
+        bundle = tmp_path / "b.json"
+        save_selector(tiny_selector, bundle)
+        store = SnapshotStore(ri_spec, bundle)
+        first, _ = store.boot()
+        other = tmp_path / "other.json"
+        save_selector(PretrainedSelector({
+            coll: train_model(mini_dataset, coll, seed=2,
+                              params={"n_estimators": 4})
+            for coll in CHAOS_COLLECTIVES}), other)
+        os.replace(other, bundle)
+        assert store.poll().status == "reloaded"
+        assert store.current().checksum == file_crc32(bundle)
+        # In place (same inode, same size, still a valid bundle): only
+        # mtime_ns tells the poll to look.
+        st = bundle.stat()
+        data = bundle.read_bytes().replace(b", ", b",\n", 1)
+        with open(bundle, "r+b") as fh:
+            fh.write(data)
+        os.utime(bundle, ns=(st.st_atime_ns, st.st_mtime_ns + 1000))
+        after = bundle.stat()
+        assert (after.st_ino, after.st_size) == (st.st_ino, st.st_size)
+        read = _count_bundle_reads(monkeypatch, bundle)
+        assert store.poll().status == "reloaded"
+        # One read decides; the reload checksums what it loads.
+        assert read == [st.st_size] * 2
+        assert store.current().checksum == file_crc32(bundle)
+        assert store.current().version == first.version + 2
+
     def test_counters_accumulate_across_swaps(self, ri_spec,
                                               tiny_selector, tmp_path):
         from repro.serve import SelectionQuery
@@ -252,11 +303,29 @@ class TestSnapshotStore:
         store = SnapshotStore(ri_spec, bundle)
         store.boot()
         query = SelectionQuery("allgather", 2, 8, 4096)
-        store.current().service.select_batch([query])
+        store.current().service.select_block([query])
         save_selector(tiny_selector, bundle)  # same content, new file
         store.reload()
-        store.current().service.select_batch([query])
+        store.current().service.select_block([query])
         assert store.registry.counters()["serve.queries"] == 2
+
+
+def _count_bundle_reads(monkeypatch, bundle):
+    """Record the size of every ``read_bytes`` of *bundle* from now on
+    (how the store checksums it)."""
+    from pathlib import Path
+
+    sizes = []
+    real = Path.read_bytes
+
+    def counting(self):
+        data = real(self)
+        if self == bundle:
+            sizes.append(len(data))
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +625,34 @@ class TestDaemonEndToEnd:
             assert actions[0] == "invalid" and actions[1] == "invalid"
             assert actions[2] != "invalid"
             assert response["decisions"][0]["algorithm"] is None
+
+    def test_malformed_twin_never_poisons_the_memo(
+            self, running_daemon, ri_spec, tiny_selector):
+        """``nodes: true`` equals ``nodes: 1`` in Python: a malformed
+        request must not decide the valid key's answer for later
+        clients, nor borrow it."""
+        from repro.simcluster.machine import Machine
+        from repro.smpi.guard import GuardedSelector
+
+        valid = {"collective": "allgather", "nodes": 1, "ppn": 8,
+                 "msg_size": 64}
+        oracle = GuardedSelector(tiny_selector).explain(
+            "allgather", Machine(ri_spec, 1, 8), 64)
+        with DaemonClient(running_daemon.config.socket_path) as client:
+            bad = client.select([{**valid, "nodes": True}])["decisions"]
+            assert bad[0]["action"] == "invalid"
+            assert bad[0]["detail"] == \
+                "machine.nodes must be an integer, got True"
+            good, twin = client.select(
+                [valid, {**valid, "nodes": 1.0}])["decisions"]
+            assert (good["algorithm"], good["action"]) == \
+                (oracle.algorithm, oracle.action)
+            assert good["cached"] is False
+            assert twin["action"] == "invalid" and twin["cached"] is False
+            assert twin["detail"] == \
+                "machine.nodes must be an integer, got 1.0"
+            again = client.select([{**valid, "nodes": True}])
+            assert again["decisions"][0]["action"] == "invalid"
 
     def test_protocol_garbage_answered_not_fatal(self, running_daemon):
         with DaemonClient(running_daemon.config.socket_path) as client:

@@ -14,12 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import SelectionQuery, decisions_to_jsonl
+from repro.serve import (
+    SelectionDecision,
+    SelectionQuery,
+    decisions_to_jsonl,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 import make_golden  # noqa: E402
+
+from .serve_reference import ReferenceService  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +58,15 @@ def test_fixture_queries_match_generator():
 
 
 def test_decisions_byte_identical(golden_service):
+    """The naive reference (dict memo + per-row ``explain``) over the
+    fixture's guard reproduces the golden bytes: the file pins the
+    scalar ladder, not only the columnar path."""
     queries = _queries_from_fixture()
-    payload = decisions_to_jsonl(golden_service.select_batch(queries))
+    reference = ReferenceService(golden_service.guard, golden_service.spec,
+                                 cache_size=golden_service.cache.capacity)
+    payload = decisions_to_jsonl([
+        SelectionDecision(q.collective, q.nodes, q.ppn, q.msg_size, *x)
+        for q, x in zip(queries, reference.select(queries))])
     expected = (GOLDEN_DIR / "expected_decisions.jsonl").read_text()
     assert payload == expected, (
         "serving output drifted from the golden fixture; if the change "
@@ -62,9 +75,8 @@ def test_decisions_byte_identical(golden_service):
 
 
 def test_columnar_decisions_byte_identical():
-    """The columnar block path must reproduce the golden bytes too.
-    Uses a fresh service (the module fixture's memo is already warm,
-    which would flip the ``cached`` flags)."""
+    """The columnar block path must reproduce the golden bytes too
+    (a fresh service, so the ``cached`` flags start cold)."""
     service = make_golden.build_service()
     queries = _queries_from_fixture()
     payload = decisions_to_jsonl(

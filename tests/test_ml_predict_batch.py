@@ -15,7 +15,7 @@ from repro.ml import (
     RandomForestClassifier,
 )
 from repro.ml.model_selection import GridSearchCV
-from repro.ml.tree import PackedTrees
+from repro.ml.tree import DecisionTreeClassifier, PackedTrees
 
 N_FEATURES = 6
 
@@ -106,6 +106,28 @@ class TestEnsembleInternals:
         for t, tree in enumerate(model.estimators_):
             assert np.array_equal(leaves[:, t] - packed.roots_[t],
                                   tree.apply(X))
+
+    def test_packed_mixed_depths_match_per_tree(self):
+        """Single-leaf roots, stumps and deeper trees share one
+        traversal; leaves and the tree-order value mean must equal
+        per-tree descent bit for bit (small and cell-deduped batches)."""
+        X, y = _make_data(3)
+        trees = [DecisionTreeClassifier(max_depth=d, max_features=2,
+                                        random_state=i).fit(X, y)
+                 for i, d in enumerate((1, 0, 3, 1, None, 0, 2))]
+        assert [t.feature_[0] == -1 for t in trees].count(True) == 2
+        packed = PackedTrees(trees)
+        rng = np.random.default_rng(5)
+        for n in (1, 40, 300):
+            Xq = np.round(rng.normal(size=(n, N_FEATURES)), 1)
+            leaves = packed.apply(Xq)
+            expected = np.zeros((n, trees[0].values_.shape[1]))
+            for t, tree in enumerate(trees):
+                assert np.array_equal(leaves[:, t] - packed.roots_[t],
+                                      tree.apply(Xq))
+                expected += tree.values_[tree.apply(Xq)]
+            assert np.array_equal(packed.mean_values(Xq),
+                                  expected / len(trees))
 
     def test_packed_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):

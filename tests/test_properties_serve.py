@@ -8,7 +8,8 @@ Three families of invariants:
 * **Counter partitions** — the LRU memo's hits + misses equals its
   gets, and the service's ``queries == cache_hits + deduped +
   cache_misses`` partition survives arbitrary mixes of valid,
-  duplicate, and malformed queries.
+  duplicate, and malformed queries, with every decision and counter
+  equal to the naive reference's (``serve_reference``).
 * **Guard feasibility** — every decision a guarded batch returns for a
   valid query names an algorithm feasible on that query's communicator
   shape, whatever garbage the inner selector emits.
@@ -16,6 +17,7 @@ Three families of invariants:
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.hwmodel import get_cluster
@@ -25,7 +27,6 @@ from repro.serve import (
     SelectionQuery,
     SelectionService,
 )
-from repro.simcluster.machine import Machine
 from repro.smpi.collectives import base
 from repro.smpi.guard import GuardedSelector
 from repro.smpi.heuristics import (
@@ -35,6 +36,8 @@ from repro.smpi.heuristics import (
     validate_query,
 )
 from repro.smpi.tuning import TuningTable
+
+from .serve_reference import ReferenceService
 
 SEEDS = (0, 1, 2)
 
@@ -135,17 +138,26 @@ def _random_queries(rng, n):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_service_counter_partition(seed):
+    """The partition holds after every batch, and the service agrees
+    with the naive reference (dict memo + per-row explain) on every
+    decision and counter."""
     rng = random.Random(seed)
-    service = SelectionService(MvapichDefaultSelector(),
-                               get_cluster("Ray"),
-                               cache_size=rng.randint(4, 64))
+    spec = get_cluster("Ray")
+    cache_size = rng.randint(4, 64)
+    service = SelectionService(MvapichDefaultSelector(), spec,
+                               cache_size=cache_size)
+    reference = ReferenceService(MvapichDefaultSelector(), spec,
+                                 cache_size=cache_size)
     total = 0
     for _ in range(10):
         batch = _random_queries(rng, rng.randint(0, 60))
         total += len(batch)
-        decisions = service.select_batch(batch)
+        decisions = service.select_block(batch).to_decisions()
         assert len(decisions) == len(batch)
+        assert [(d.algorithm, d.action, d.detail, d.cached)
+                for d in decisions] == reference.select(batch)
         c = service.counters
+        assert c == reference.counters
         assert c["queries"] == total
         assert c["queries"] == (c["cache_hits"] + c["deduped"]
                                 + c["cache_misses"])
@@ -177,34 +189,44 @@ class _AdversarialSelector(AlgorithmSelector):
         validate_query(collective, machine, msg_size)
         return self._one(collective)
 
-    def select_batch(self, queries):
+
+class _AdversarialBlockSelector(_AdversarialSelector):
+    """The same garbage through the columnar inner path, whose whole
+    call sometimes fails."""
+
+    def select_block(self, spec, collectives, nodes, ppn, msg_size):
         if self.rng.random() < 0.3:
             raise RuntimeError("vectorized path down")
-        return [self.select(*q) for q in queries]
+        out = np.empty(len(collectives), dtype=object)
+        for i, collective in enumerate(collectives.tolist()):
+            out[i] = self._one(collective)
+        return out
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_batch_decision_is_feasible(seed):
     rng = random.Random(seed)
     spec = get_cluster("Ray")
-    guard = GuardedSelector(_AdversarialSelector(seed))
-    for _ in range(6):
-        queries = []
-        for _ in range(rng.randint(1, 40)):
-            machine = Machine(spec, rng.randint(1, 2),
-                              2 ** rng.randint(0, 4))
-            if machine.p < 2:
-                machine = Machine(spec, 2, 2)
-            queries.append((rng.choice(ALL_COLLECTIVES), machine,
-                            2 ** rng.randint(3, 20)))
-        decisions = guard.explain_batch(queries)
-        for (collective, machine, _), decision in zip(queries,
-                                                      decisions):
-            assert base.is_feasible(collective, decision.algorithm,
-                                    machine.p), \
-                (decision, machine.nodes, machine.ppn)
-        c = guard.counters
-        assert c["queries"] == (c["invalid"] + c["served_model"]
-                                + c["remapped"] + c["ood_fallback"]
-                                + c["breaker_fallback"]
-                                + c["error_fallback"])
+    for inner in (_AdversarialSelector(seed),
+                  _AdversarialBlockSelector(seed)):
+        guard = GuardedSelector(inner)
+        service = SelectionService(guard, spec)
+        for _ in range(6):
+            queries = []
+            for _ in range(rng.randint(1, 40)):
+                nodes, ppn = rng.randint(1, 2), 2 ** rng.randint(0, 4)
+                if nodes * ppn < 2:
+                    nodes, ppn = 2, 2
+                queries.append(SelectionQuery(
+                    rng.choice(ALL_COLLECTIVES), nodes, ppn,
+                    2 ** rng.randint(3, 20)))
+            decisions = service.select_block(queries).to_decisions()
+            for q, decision in zip(queries, decisions):
+                assert base.is_feasible(q.collective, decision.algorithm,
+                                        q.nodes * q.ppn), \
+                    (decision, q.nodes, q.ppn)
+            c = guard.counters
+            assert c["queries"] == (c["invalid"] + c["served_model"]
+                                    + c["remapped"] + c["ood_fallback"]
+                                    + c["breaker_fallback"]
+                                    + c["error_fallback"])

@@ -1,5 +1,5 @@
 """Unit tests for the serving layer: LRU memo, quantization, the
-batched SelectionService, JSONL I/O, and the guard/selector batch
+batched SelectionService, JSONL I/O, and the guard/selector block
 paths it is built on."""
 
 import numpy as np
@@ -21,8 +21,8 @@ from repro.simcluster.machine import Machine
 from repro.smpi.guard import (
     ACTION_ERROR,
     ACTION_MODEL,
+    GuardDecision,
     GuardedSelector,
-    InvalidQueryError,
 )
 from repro.smpi.heuristics import (
     AlgorithmSelector,
@@ -114,7 +114,7 @@ class TestSelectionService:
         queries = [SelectionQuery("allgather", 2, 4, 4096),
                    SelectionQuery("bcast", 2, 8, 65536),
                    SelectionQuery("alltoall", 1, 8, 128)]
-        decisions = service.select_batch(queries)
+        decisions = service.select_block(queries).to_decisions()
         guard = GuardedSelector(MvapichDefaultSelector())
         for q, d in zip(queries, decisions):
             machine = Machine(ray_spec, q.nodes, q.ppn)
@@ -127,16 +127,16 @@ class TestSelectionService:
 
     def test_memo_hit_on_second_batch(self, service):
         q = SelectionQuery("allgather", 2, 4, 4096)
-        first = service.select_batch([q])[0]
-        second = service.select_batch([q])[0]
+        first = service.select_block([q]).to_decisions()[0]
+        second = service.select_block([q]).to_decisions()[0]
         assert not first.cached and second.cached
         assert second.algorithm == first.algorithm
         assert service.counters["cache_hits"] == 1
 
     def test_quantized_sizes_share_one_entry(self, service):
-        a, b = service.select_batch(
+        a, b = service.select_block(
             [SelectionQuery("allgather", 2, 4, 1000),
-             SelectionQuery("allgather", 2, 4, 1100)])
+             SelectionQuery("allgather", 2, 4, 1100)]).to_decisions()
         assert not a.cached and b.cached
         assert a.msg_size == 1000 and b.msg_size == 1100
         assert service.counters["deduped"] == 1
@@ -144,37 +144,33 @@ class TestSelectionService:
     def test_no_quantize_keeps_sizes_distinct(self, ray_spec):
         service = SelectionService(MvapichDefaultSelector(), ray_spec,
                                    quantize=False)
-        service.select_batch([SelectionQuery("allgather", 2, 4, 1000),
+        service.select_block([SelectionQuery("allgather", 2, 4, 1000),
                               SelectionQuery("allgather", 2, 4, 1100)])
         assert service.counters["cache_misses"] == 2
         assert service.counters["deduped"] == 0
 
     def test_invalid_queries_never_raise(self, service):
-        decisions = service.select_batch(
+        decisions = service.select_block(
             [SelectionQuery("nope", 2, 4, 64),
              SelectionQuery("bcast", 0, 4, 64),
              SelectionQuery("bcast", 10**9, 4, 64),
              SelectionQuery("bcast", 2, 4, -1),
-             SelectionQuery("bcast", 2, 4, "big")])
+             SelectionQuery("bcast", 2, 4, "big")]).to_decisions()
         assert all(d.action == ACTION_INVALID for d in decisions)
         assert all(d.algorithm is None for d in decisions)
         assert service.counters["invalid"] == 5
 
     def test_empty_batch(self, service):
-        assert service.select_batch([]) == []
+        assert service.select_block([]).to_decisions() == []
         assert service.counters["queries"] == 0
 
     def test_eviction_counter_mirrors_cache(self, ray_spec):
         service = SelectionService(MvapichDefaultSelector(), ray_spec,
                                    cache_size=2, quantize=False)
-        service.select_batch([SelectionQuery("allgather", 2, 4, m)
+        service.select_block([SelectionQuery("allgather", 2, 4, m)
                               for m in (64, 128, 256, 512)])
         assert service.counters["evictions"] == 2
         assert service.counters["evictions"] == service.cache.evictions
-
-    def test_single_query_wrapper(self, service):
-        decision = service.select(SelectionQuery("bcast", 2, 4, 512))
-        assert decision.action == ACTION_MODEL
 
     def test_wraps_plain_selector_in_guard(self, ray_spec):
         service = SelectionService(MvapichDefaultSelector(), ray_spec)
@@ -214,29 +210,47 @@ class TestJsonl:
         assert '"algorithm":null' in once
 
 
-class _ExplodingBatchSelector(MvapichDefaultSelector):
-    """Scalar path works; the batch path always raises — forces the
+class _ExplodingBlockSelector(MvapichDefaultSelector):
+    """Scalar path works; the block path always raises — forces the
     guard's sequential replay."""
 
-    def select_batch(self, queries):
+    def select_block(self, spec, collectives, nodes, ppn, msg_size):
         raise RuntimeError("vectorized path down")
 
 
 class _CountingSelector(MvapichDefaultSelector):
     def __init__(self):
-        self.batch_calls = 0
+        self.block_calls = 0
         self.scalar_calls = 0
 
     def select(self, collective, machine, msg_size):
         self.scalar_calls += 1
         return super().select(collective, machine, msg_size)
 
-    def select_batch(self, queries):
-        self.batch_calls += 1
-        return [MvapichDefaultSelector.select(self, *q) for q in queries]
+    def select_block(self, spec, collectives, nodes, ppn, msg_size):
+        self.block_calls += 1
+        return np.array([
+            MvapichDefaultSelector.select(self, c, Machine(spec, n, p), m)
+            for c, n, p, m in zip(collectives.tolist(), nodes.tolist(),
+                                  ppn.tolist(), msg_size.tolist())],
+            dtype=object)
+
+
+def _explain_block(guard, spec, queries):
+    """``explain_block`` over ``(collective, machine, msg)`` triples, as
+    GuardDecisions (the columnar serving layer's call, by hand)."""
+    cols = list(zip(*[(c, m.nodes, m.ppn, msg) for c, m, msg in queries]))
+    alg, act, det = guard.explain_block(
+        spec, np.array(cols[0], dtype=object),
+        *(np.array(col, dtype=np.int64) for col in cols[1:]))
+    return [GuardDecision(c, a, x, d)
+            for c, a, x, d in zip(cols[0], alg, act, det)]
 
 
 class TestGuardBatch:
+    """``explain_block`` — the guard's one batch path — against the
+    per-query ``explain`` ladder."""
+
     def _queries(self, spec, n=12):
         rng = np.random.default_rng(0)
         out = []
@@ -249,21 +263,24 @@ class TestGuardBatch:
 
     def test_batch_matches_scalar_loop(self, ray_spec):
         queries = self._queries(ray_spec)
-        batch_decisions = GuardedSelector(
-            MvapichDefaultSelector()).explain_batch(queries)
-        scalar_guard = GuardedSelector(MvapichDefaultSelector())
-        scalar_decisions = [scalar_guard.explain(*q) for q in queries]
-        assert batch_decisions == scalar_decisions
+        for inner in (MvapichDefaultSelector, _CountingSelector):
+            batch_decisions = _explain_block(
+                GuardedSelector(inner()), ray_spec, queries)
+            scalar_guard = GuardedSelector(inner())
+            scalar_decisions = [scalar_guard.explain(*q) for q in queries]
+            assert batch_decisions == scalar_decisions
 
     def test_one_inner_batch_call(self, ray_spec):
         inner = _CountingSelector()
-        GuardedSelector(inner).explain_batch(self._queries(ray_spec))
-        assert inner.batch_calls == 1 and inner.scalar_calls == 0
+        _explain_block(GuardedSelector(inner), ray_spec,
+                       self._queries(ray_spec))
+        assert inner.block_calls == 1 and inner.scalar_calls == 0
 
     def test_counter_partition_holds(self, ray_spec):
         guard = GuardedSelector(MvapichDefaultSelector())
-        guard.explain_batch(self._queries(ray_spec))
+        _explain_block(guard, ray_spec, self._queries(ray_spec))
         c = guard.counters
+        assert c["queries"] == 12
         assert c["queries"] == (c["invalid"] + c["served_model"]
                                 + c["remapped"] + c["ood_fallback"]
                                 + c["breaker_fallback"]
@@ -271,48 +288,49 @@ class TestGuardBatch:
 
     def test_failed_batch_replays_scalar(self, ray_spec):
         queries = self._queries(ray_spec)
-        guard = GuardedSelector(_ExplodingBatchSelector())
-        decisions = guard.explain_batch(queries)
+        guard = GuardedSelector(_ExplodingBlockSelector())
+        decisions = _explain_block(guard, ray_spec, queries)
         reference = [GuardedSelector(MvapichDefaultSelector()).explain(*q)
                      for q in queries]
         assert [d.algorithm for d in decisions] == \
             [d.algorithm for d in reference]
         assert all(d.action == ACTION_MODEL for d in decisions)
 
-    def test_malformed_query_raises_like_scalar(self, ray_spec):
-        machine = Machine(ray_spec, 2, 4)
-        guard = GuardedSelector(MvapichDefaultSelector())
-        with pytest.raises(InvalidQueryError):
-            guard.explain_batch([("allgather", machine, 64),
-                                 ("allgather", machine, -1)])
-        # The valid query before the malformed one was still counted.
-        assert guard.counters["queries"] == 2
-        assert guard.counters["invalid"] == 1
-
     def test_wrong_length_batch_result_replays(self, ray_spec):
-        class ShortBatch(MvapichDefaultSelector):
-            def select_batch(self, queries):
-                return ["ring"]  # wrong length
+        class ShortBlock(MvapichDefaultSelector):
+            def select_block(self, spec, collectives, nodes, ppn,
+                             msg_size):
+                return np.array(["ring"], dtype=object)  # wrong length
 
         queries = self._queries(ray_spec, n=4)
-        decisions = GuardedSelector(ShortBatch()).explain_batch(queries)
+        decisions = _explain_block(GuardedSelector(ShortBlock()),
+                                   ray_spec, queries)
         assert len(decisions) == 4
         assert all(d.action == ACTION_MODEL for d in decisions)
-
-    def test_select_batch_returns_names(self, ray_spec):
-        queries = self._queries(ray_spec, n=3)
-        guard = GuardedSelector(MvapichDefaultSelector())
-        assert guard.select_batch(queries) == \
-            [d.algorithm for d in guard.explain_batch(queries)]
 
 
 class TestSelectorBatchDefault:
     def test_base_class_loops_over_select(self, ray_spec):
-        selector = OpenMpiDefaultSelector()
+        """A selector without ``select_block`` is asked once per
+        admitted row through ``select`` — the default batch path."""
+        class Plain(AlgorithmSelector):
+            def __init__(self):
+                self.calls = []
+
+            def select(self, collective, machine, msg_size):
+                self.calls.append((collective, machine.nodes,
+                                   machine.ppn, msg_size))
+                return OpenMpiDefaultSelector().select(
+                    collective, machine, msg_size)
+
+        inner = Plain()
         machine = Machine(ray_spec, 2, 8)
         queries = [("bcast", machine, 2 ** e) for e in range(4, 24, 2)]
-        assert selector.select_batch(queries) == \
-            [selector.select(*q) for q in queries]
+        decisions = _explain_block(GuardedSelector(inner), ray_spec,
+                                   queries)
+        assert inner.calls == [(c, 2, 8, m) for c, _, m in queries]
+        assert [d.algorithm for d in decisions] == \
+            [OpenMpiDefaultSelector().select(*q) for q in queries]
 
 
 @pytest.fixture(scope="module")
@@ -334,21 +352,27 @@ class TestPretrainedBatch:
             coll = ("allgather", "alltoall")[int(rng.integers(2))]
             queries.append((coll, machine,
                             int(2 ** rng.integers(4, 18))))
-        assert selector.select_batch(queries) == \
-            [selector.select(*q) for q in queries]
+        cols = list(zip(*[(c, m.nodes, m.ppn, msg)
+                          for c, m, msg in queries]))
+        got = selector.select_block(
+            spec, np.array(cols[0], dtype=object),
+            *(np.array(col, dtype=np.int64) for col in cols[1:]))
+        assert got.tolist() == [selector.select(*q) for q in queries]
 
     def test_missing_model_raises(self, trained_guard):
         _, selector = trained_guard
-        machine = Machine(get_cluster("Ray"), 2, 4)
+        one = np.array([2], dtype=np.int64)
         with pytest.raises(KeyError, match="bcast"):
-            selector.select_batch([("bcast", machine, 64)])
+            selector.select_block(get_cluster("Ray"),
+                                  np.array(["bcast"], dtype=object),
+                                  one, one * 2, one * 32)
 
     def test_service_over_trained_guard(self, trained_guard):
         guard, _ = trained_guard
         service = SelectionService(guard, get_cluster("Ray"))
-        decisions = service.select_batch(
+        decisions = service.select_block(
             [SelectionQuery("allgather", 2, 4, 4096),
-             SelectionQuery("alltoall", 1, 8, 1 << 20)])
+             SelectionQuery("alltoall", 1, 8, 1 << 20)]).to_decisions()
         assert all(d.algorithm is not None for d in decisions)
 
     def test_guard_error_fallback_still_feasible(self, ray_spec):
@@ -357,6 +381,7 @@ class TestPretrainedBatch:
                 raise RuntimeError("model file corrupt")
 
         service = SelectionService(Exploding(), ray_spec)
-        decision = service.select(SelectionQuery("allgather", 2, 4, 64))
+        decision = service.select_block(
+            [SelectionQuery("allgather", 2, 4, 64)]).to_decisions()[0]
         assert decision.action == ACTION_ERROR
         assert decision.algorithm is not None

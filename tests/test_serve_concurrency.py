@@ -120,7 +120,7 @@ class TestSelectionServiceHammer:
             mine = []
             for i in range(ROUNDS):
                 queries = self._queries(tid, i)
-                decisions = service.select_batch(queries)
+                decisions = service.select_block(queries).to_decisions()
                 assert len(decisions) == len(queries)
                 for q, d in zip(queries, decisions):
                     # Positional match: the answer is for *my* query.
@@ -138,8 +138,8 @@ class TestSelectionServiceHammer:
             for i, algorithms in enumerate(results[tid]):
                 expected = [
                     d.algorithm for d in
-                    reference_service.select_batch(
-                        self._queries(tid, i))]
+                    reference_service.select_block(
+                        self._queries(tid, i)).to_decisions()]
                 assert algorithms == expected
 
     def test_counter_partition_holds_under_hammer(self, ray_spec):
@@ -151,7 +151,7 @@ class TestSelectionServiceHammer:
 
         def worker(tid):
             for i in range(ROUNDS):
-                service.select_batch(self._queries(tid, i))
+                service.select_block(self._queries(tid, i))
 
         _run_threads(worker)
         counters = service.counters
@@ -179,7 +179,7 @@ class TestSelectionServiceHammer:
         def worker(tid):
             mine = model if tid % 2 else floor
             for i in range(ROUNDS):
-                mine.select_batch(self._queries(tid, i))
+                mine.select_block(self._queries(tid, i))
 
         _run_threads(worker)
         counters = registry.counters()
